@@ -216,3 +216,62 @@ func TestCoreBudgetsStateRoundtrip(t *testing.T) {
 		t.Fatal("expected core-count mismatch error")
 	}
 }
+
+// TestSOARestoreBeforeEpochRollsAgain pins the ledger's epoch-boundary
+// cache across an sOA restore: an agent that has already rolled into the
+// next weekly epoch, then restores a snapshot taken before the boundary,
+// must roll its ledger again when it ticks across that boundary — fresh
+// allowance plus capped carry-over, reservations cleared.
+func TestSOARestoreBeforeEpochRollsAgain(t *testing.T) {
+	a, h := newTestSOA(1000)
+	a.SetPowerTemplate(timeseries.FlatWeek(300, 5*time.Minute))
+	h.setAllUtil(0.5)
+	if d := a.Request(soaStart, ocReq("vm1", 2)); !d.Granted {
+		t.Fatalf("setup request rejected: %+v", d)
+	}
+	now := soaStart
+	for i := 0; i < 24; i++ {
+		now = soaStart.Add(time.Duration(i) * 5 * time.Minute)
+		a.Tick(now)
+	}
+	a.Stop(now, "vm1")
+	if d, res := a.ReserveWindow(now, now.Add(time.Hour), 3*time.Hour, ocReq("vm2", 2)); !d.Granted || res == nil {
+		t.Fatalf("setup reservation rejected: %+v", d)
+	}
+	snap := a.Snapshot()
+	pre := snap.Budgets.Cores
+
+	cfg := lifetime.DefaultBudgetConfig()
+	crossing := soaStart.Add(cfg.Epoch + time.Hour)
+	a.Tick(crossing)
+	rolled, _ := json.Marshal(a.Snapshot().Budgets)
+
+	if err := a.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	a.Tick(crossing)
+
+	fresh := cfg.Allowance()
+	maxCarry := time.Duration(float64(fresh) * cfg.MaxCarryOver)
+	spent, reserved := false, false
+	for i, p := range pre {
+		spent = spent || p.Remaining < fresh
+		reserved = reserved || p.Reserved > 0
+		carry := p.Remaining
+		if carry > maxCarry {
+			carry = maxCarry
+		}
+		b := a.budgets.Core(i)
+		if !b.EpochStart().Equal(p.EpochStart.Add(cfg.Epoch)) || b.Total() != fresh+carry || b.Reserved() != 0 {
+			t.Fatalf("core %d after restore and re-crossing: start %v total %v reserved %v, want start %v total %v reserved 0",
+				i, b.EpochStart(), b.Total(), b.Reserved(), p.EpochStart.Add(cfg.Epoch), fresh+carry)
+		}
+	}
+	if !spent || !reserved {
+		t.Fatalf("test setup: snapshot ledger has spent=%v reserved=%v, want both", spent, reserved)
+	}
+	again, _ := json.Marshal(a.Snapshot().Budgets)
+	if !bytes.Equal(rolled, again) {
+		t.Fatalf("second roll differs from the first:\n%s\nvs\n%s", again, rolled)
+	}
+}

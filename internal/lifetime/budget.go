@@ -63,10 +63,16 @@ type Budget struct {
 // NewBudget creates a budget whose first epoch starts at start.
 // It panics on an invalid configuration.
 func NewBudget(cfg BudgetConfig, start time.Time) *Budget {
+	b := newBudget(cfg, start)
+	return &b
+}
+
+// newBudget is NewBudget by value, for ledgers stored contiguously.
+func newBudget(cfg BudgetConfig, start time.Time) Budget {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Budget{cfg: cfg, epochStart: start, remaining: cfg.Allowance()}
+	return Budget{cfg: cfg, epochStart: start, remaining: cfg.Allowance()}
 }
 
 // Config returns the budget configuration.
@@ -163,8 +169,18 @@ func (b *Budget) TimeToExhaustion() time.Duration { return b.Remaining() }
 // CoreBudgets manages one Budget per core of a server and supports the
 // paper's core-migration exploration: when a VM's cores run out of budget
 // the sOA looks for other cores with headroom (§IV-D).
+//
+// The ledgers are stored contiguously and the set caches the earliest epoch
+// boundary across its cores, so Advance — called on every sOA tick and
+// request — is one time comparison between boundaries and visits the cores
+// only when some core's epoch has ended.
 type CoreBudgets struct {
-	cores []*Budget
+	cores []Budget
+	// nextRoll is the earliest epochStart+Epoch across the cores; no core
+	// rolls before it. Advancing a single core through Core(i) only moves
+	// that core's boundary later, so the cached minimum stays a safe lower
+	// bound. Restore, which may move epochs backwards, recomputes it.
+	nextRoll time.Time
 	// candScratch backs FindCoresFiltered's candidate selection, which
 	// runs on every admission attempt; reuse keeps the request hot path
 	// from allocating a candidate list per call.
@@ -178,25 +194,46 @@ type coreCand struct {
 }
 
 // NewCoreBudgets creates n per-core budgets that all start at start.
+// It panics on an invalid configuration.
 func NewCoreBudgets(cfg BudgetConfig, n int, start time.Time) *CoreBudgets {
-	cb := &CoreBudgets{cores: make([]*Budget, n)}
+	cb := &CoreBudgets{cores: make([]Budget, n)}
 	for i := range cb.cores {
-		cb.cores[i] = NewBudget(cfg, start)
+		cb.cores[i] = newBudget(cfg, start)
 	}
+	cb.resetNextRoll()
 	return cb
+}
+
+// resetNextRoll recomputes the earliest epoch boundary across the cores.
+func (cb *CoreBudgets) resetNextRoll() {
+	for i := range cb.cores {
+		b := &cb.cores[i]
+		end := b.epochStart.Add(b.cfg.Epoch)
+		if i == 0 || end.Before(cb.nextRoll) {
+			cb.nextRoll = end
+		}
+	}
 }
 
 // Len returns the number of cores.
 func (cb *CoreBudgets) Len() int { return len(cb.cores) }
 
-// Core returns core i's budget.
-func (cb *CoreBudgets) Core(i int) *Budget { return cb.cores[i] }
+// Core returns core i's budget, which lives in the set's storage. Restore
+// the ledger through CoreBudgets.Restore rather than Core(i).Restore: only
+// the former keeps the set's epoch-boundary cache valid.
+func (cb *CoreBudgets) Core(i int) *Budget { return &cb.cores[i] }
 
-// Advance rolls every core's budget forward to now.
+// Advance rolls every core's budget forward to now. Before the earliest
+// epoch boundary it returns at once; at a boundary every core is rolled
+// exactly as Budget.Advance does.
 func (cb *CoreBudgets) Advance(now time.Time) {
-	for _, b := range cb.cores {
-		b.Advance(now)
+	if now.Before(cb.nextRoll) {
+		return
 	}
+	for i := range cb.cores {
+		cb.cores[i].Advance(now)
+	}
+	cb.resetNextRoll()
 }
 
 // TotalRemaining sums unreserved budget across cores.
@@ -220,16 +257,18 @@ func (cb *CoreBudgets) FindCores(n int, need time.Duration) []int {
 // counters report exhausted headroom.
 func (cb *CoreBudgets) FindCoresFiltered(n int, need time.Duration, ok func(core int) bool) []int {
 	cands := cb.candScratch[:0]
-	for i, b := range cb.cores {
-		if b.Remaining() >= need && (ok == nil || ok(i)) {
-			cands = append(cands, coreCand{i, b.Remaining()})
+	for i := range cb.cores {
+		if rem := cb.cores[i].Remaining(); rem >= need && (ok == nil || ok(i)) {
+			cands = append(cands, coreCand{i, rem})
 		}
 	}
 	cb.candScratch = cands
 	if len(cands) < n {
 		return nil
 	}
-	// Selection by most remaining budget; stable on index for determinism.
+	// Selection by most remaining budget. Ties go to the earlier candidate
+	// in the order the swaps leave behind: deterministic, though not
+	// strictly by core index (budgets 1,1,5 with n=2 pick cores 2 and 1).
 	for i := 0; i < n; i++ {
 		best := i
 		for j := i + 1; j < len(cands); j++ {

@@ -22,6 +22,7 @@ func (b *Budget) Snapshot() BudgetState {
 }
 
 // Restore overwrites the ledger from a snapshot, keeping the configuration.
+// For a core of a CoreBudgets, restore through CoreBudgets.Restore.
 func (b *Budget) Restore(st BudgetState) {
 	b.epochStart = st.EpochStart
 	b.remaining = st.Remaining
@@ -49,9 +50,12 @@ func (cb *CoreBudgets) Restore(st *CoreBudgetsState) error {
 	if len(st.Cores) != len(cb.cores) {
 		return fmt.Errorf("lifetime: snapshot has %d cores, budgets have %d", len(st.Cores), len(cb.cores))
 	}
-	for i, b := range cb.cores {
-		b.Restore(st.Cores[i])
+	for i := range cb.cores {
+		cb.cores[i].Restore(st.Cores[i])
 	}
+	// A snapshot may move epochs backwards and carry a different epoch
+	// start per core, so the cached boundary is recomputed.
+	cb.resetNextRoll()
 	return nil
 }
 
