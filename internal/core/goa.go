@@ -85,94 +85,177 @@ func (g *GOA) Servers() []string {
 // evenly (the fair-share fallback).
 func (g *GOA) BudgetsAt(ts time.Time) map[string]float64 {
 	names := g.Servers()
-	if len(names) == 0 {
+	n := len(names)
+	if n == 0 {
 		return nil
 	}
-	regular := make(map[string]float64, len(names))
-	need := make(map[string]float64, len(names))
-	var sumRegular, sumNeed float64
-	for _, name := range names {
+	// Racks hold a few dozen servers; the stack buffer keeps the per-tick
+	// callers (zoo, chaos, live, the invariant battery) at the allocations
+	// of the names and the returned map.
+	var stack [3 * 32]float64
+	buf := stack[:]
+	if 3*n > len(buf) {
+		buf = make([]float64, 3*n)
+	}
+	regular, need, budgets := buf[:n], buf[n:2*n], buf[2*n:3*n]
+	for i, name := range names {
 		p := g.profiles[name]
 		total := 0.0
 		if p.Power != nil {
 			total = p.Power.At(ts)
 		}
-		ocPortion := p.OC.GrantedAt(ts) * p.OCCoreCost
-		reg := total - ocPortion
-		if reg < 0 {
-			reg = 0
-		}
-		regular[name] = reg
-		sumRegular += reg
-		n := p.OC.RequestedAt(ts) * p.OCCoreCost
-		if n < 0 {
-			n = 0
-		}
-		need[name] = n
-		sumNeed += n
+		regular[i], need[i] = p.regularAndNeed(total, p.OC.GrantedAt(ts), p.OC.RequestedAt(ts))
 	}
+	g.split(regular, need, budgets)
+	out := make(map[string]float64, n)
+	for i, name := range names {
+		out[name] = budgets[i]
+	}
+	return out
+}
 
-	budgets := make(map[string]float64, len(names))
+// regularAndNeed is phase 1 for one server: from its template power and
+// its granted and requested overclock cores at one slot, the server's
+// regular (non-overclock) power and its overclock need in watts.
+func (p ServerProfile) regularAndNeed(total, granted, requested float64) (regular, need float64) {
+	regular = total - granted*p.OCCoreCost
+	if regular < 0 {
+		regular = 0
+	}
+	need = requested * p.OCCoreCost
+	if need < 0 {
+		need = 0
+	}
+	return regular, need
+}
+
+// split is phases 2 and 3: given each server's regular power and overclock
+// need (servers in name order), it writes their budgets into budgets and
+// records the computation.
+func (g *GOA) split(regular, need, budgets []float64) {
+	var sumRegular, sumNeed float64
+	for i := range regular {
+		sumRegular += regular[i]
+		sumNeed += need[i]
+	}
+	n := float64(len(regular))
 	if sumRegular >= g.limit {
 		// No headroom: scale regular demand into the limit.
-		for _, name := range names {
+		for i := range budgets {
 			if sumRegular > 0 {
-				budgets[name] = g.limit * regular[name] / sumRegular
+				budgets[i] = g.limit * regular[i] / sumRegular
 			} else {
-				budgets[name] = g.limit / float64(len(names))
+				budgets[i] = g.limit / n
 			}
 		}
 		g.obsBudgets(g.limit)
-		return budgets
+		return
 	}
 	headroom := g.limit - sumRegular
 	sum := 0.0
-	for _, name := range names {
-		extra := headroom / float64(len(names))
+	for i := range budgets {
+		extra := headroom / n
 		if sumNeed > 0 {
-			extra = headroom * need[name] / sumNeed
+			extra = headroom * need[i] / sumNeed
 		}
-		budgets[name] = regular[name] + extra
-		sum += budgets[name]
+		budgets[i] = regular[i] + extra
+		sum += budgets[i]
 	}
 	g.obsBudgets(sum)
-	return budgets
 }
 
-// BudgetTemplates evaluates BudgetsAt across every time-of-day slot and
-// returns one budget WeekTemplate per server — the artifact the gOA pushes
-// to each sOA on the (e.g. weekly) assignment cadence. step is the slot
-// width, typically the profile recording step.
+// BudgetTemplates evaluates the budget split across every time-of-day slot
+// of a reference Monday and Saturday and returns one budget WeekTemplate
+// per server — the artifact the gOA pushes to each sOA on the (e.g.
+// weekly) assignment cadence. step is the slot width, typically the profile
+// recording step. Slot i of each template equals BudgetsAt at the reference
+// day plus i×step.
+//
+// The names are sorted once and the split runs over slices. Profile
+// templates laid out at step are read slot by slot; any other layout falls
+// back to At, so the cost is O(slots × servers) with no per-slot
+// allocation.
 func (g *GOA) BudgetTemplates(step time.Duration) map[string]*timeseries.WeekTemplate {
 	names := g.Servers()
-	if len(names) == 0 {
+	n := len(names)
+	if n == 0 {
 		return nil
 	}
 	slots := int(24 * time.Hour / step)
 	if slots < 1 {
 		slots = 1
 	}
-	out := make(map[string]*timeseries.WeekTemplate, len(names))
-	for _, name := range names {
-		out[name] = &timeseries.WeekTemplate{
+	profiles := make([]ServerProfile, n)
+	tpls := make([]*timeseries.WeekTemplate, n)
+	out := make(map[string]*timeseries.WeekTemplate, n)
+	for i, name := range names {
+		profiles[i] = g.profiles[name]
+		tpls[i] = &timeseries.WeekTemplate{
 			Weekday: &timeseries.DayTemplate{Step: step, Kind: timeseries.Weekdays, Slots: make([]float64, slots)},
 			Weekend: &timeseries.DayTemplate{Step: step, Kind: timeseries.Weekends, Slots: make([]float64, slots)},
 		}
+		out[name] = tpls[i]
 	}
+	buf := make([]float64, 3*n)
+	regular, need, budgets := buf[:n], buf[n:2*n], buf[2*n:3*n]
 	// Reference days: a Monday and a Saturday (any instances work — only
 	// time-of-day and weekday-kind matter).
-	monday := time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
-	saturday := time.Date(2023, 4, 15, 0, 0, 0, 0, time.UTC)
+	days := [2]struct {
+		ref     time.Time
+		weekend bool
+	}{
+		{time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC), false},
+		{time.Date(2023, 4, 15, 0, 0, 0, 0, time.UTC), true},
+	}
 	for i := 0; i < slots; i++ {
-		offset := time.Duration(i) * step
-		wk := g.BudgetsAt(monday.Add(offset))
-		we := g.BudgetsAt(saturday.Add(offset))
-		for _, name := range names {
-			out[name].Weekday.Slots[i] = wk[name]
-			out[name].Weekend.Slots[i] = we[name]
+		for _, d := range days {
+			at := slotReader{ts: d.ref.Add(time.Duration(i) * step), weekend: d.weekend, slot: i, step: step, slots: slots}
+			for s, p := range profiles {
+				var granted, requested float64
+				if p.OC != nil {
+					granted, requested = at.value(p.OC.Granted), at.value(p.OC.Requested)
+				}
+				regular[s], need[s] = p.regularAndNeed(at.value(p.Power), granted, requested)
+			}
+			g.split(regular, need, budgets)
+			for s, tpl := range tpls {
+				day := tpl.Weekday
+				if d.weekend {
+					day = tpl.Weekend
+				}
+				day.Slots[i] = budgets[s]
+			}
 		}
 	}
 	return out
+}
+
+// slotReader reads week templates at one reference instant ts: slot slot
+// of a weekday or weekend day laid out as slots slots of width step.
+type slotReader struct {
+	ts      time.Time
+	weekend bool
+	slot    int
+	step    time.Duration
+	slots   int
+}
+
+// value returns w.At(r.ts), or 0 for a nil template. When w's day template
+// has the reader's layout, the slot is read directly: r.ts then sits
+// exactly slot×step past midnight, and a whole-second step keeps At's
+// second-resolution slot lookup on the same slot.
+func (r slotReader) value(w *timeseries.WeekTemplate) float64 {
+	if w == nil {
+		return 0
+	}
+	day := w.Weekday
+	if r.weekend {
+		day = w.Weekend
+	}
+	if day != nil && day.Step == r.step && len(day.Slots) == r.slots && r.step%time.Second == 0 {
+		return day.Slots[r.slot]
+	}
+	return w.At(r.ts)
 }
 
 // EvenShare returns the fair-share budget: limit divided by the number of

@@ -246,22 +246,20 @@ func RunDatacenterRebalance(base FleetSimConfig) (*Table, error) {
 	for _, fr := range []*trace.RackTrace{hot, quiet} {
 		total := fr.RackPower().Slice(fleetStart, trainEnd)
 		powerTpl := timeseries.BuildWeekTemplate(total, timeseries.ReduceMedian)
+		// The rack's demand is the per-tick sum of its servers' demand.
 		trainTicks := base.TrainDays * int(24*time.Hour/base.Step)
-		rec := predict.NewOCRecorder(fleetStart, base.Step)
-		for t := 0; t < trainTicks; t++ {
-			demand := 0
-			ts := fleetStart.Add(time.Duration(t) * base.Step)
-			for _, st := range fr.Servers {
-				for _, vm := range st.Spec.VMs {
-					switch vm.Service.Pattern {
-					case trace.PatternSpiky, trace.PatternBroadPeak, trace.PatternDiurnal:
-						if vm.Service.UtilAt(ts, nil) >= base.OCThreshold {
-							demand += vm.Cores
-						}
-					}
-				}
+		cal := trace.NewCalendar(fleetStart, base.Step, trainTicks)
+		keyDemand := make([]int, cal.NumKeys())
+		serverDemand := make([]int, trainTicks)
+		rackDemand := make([]int, trainTicks)
+		for _, st := range fr.Servers {
+			for t, d := range fillDemand(serverDemand, st, base, cal, keyDemand) {
+				rackDemand[t] += d
 			}
-			rec.Record(demand, 0)
+		}
+		rec := predict.NewOCRecorder(fleetStart, base.Step)
+		for _, d := range rackDemand {
+			rec.Record(d, 0)
 		}
 		dc.SetRackProfile(fr.Name, core.ServerProfile{
 			Power:      powerTpl,

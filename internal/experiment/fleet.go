@@ -296,23 +296,21 @@ type Table1Row struct {
 	RacksTested int
 }
 
-// demandSeries precomputes, per server, the number of cores demanding
-// overclocking at each evaluation tick: the user-facing VMs whose service
-// utilization exceeds the threshold.
-func demandSeries(st *trace.ServerTrace, cfg FleetSimConfig, evalStart time.Time, ticks int) []int {
-	return fillDemand(make([]int, ticks), st, cfg, evalStart)
-}
-
-// fillDemand is demandSeries into a caller-owned buffer (len(out) ticks),
-// so shards can carve per-server demand out of one arena allocation.
-func fillDemand(out []int, st *trace.ServerTrace, cfg FleetSimConfig, start time.Time) []int {
-	for t := range out {
-		ts := start.Add(time.Duration(t) * cfg.Step)
+// fillDemand fills out (len cal.Len()) with the number of cores demanding
+// overclocking at each tick of cal: the user-facing VMs whose service
+// utilization reaches the threshold, capped at the server's cores. The
+// rule depends on a tick only through its calendar key, so it runs once per
+// key into keyDemand (caller-owned scratch of at least cal.NumKeys()) and
+// the ticks fill by lookup.
+func fillDemand(out []int, st *trace.ServerTrace, cfg FleetSimConfig, cal *trace.Calendar, keyDemand []int) []int {
+	keyDemand = keyDemand[:cal.NumKeys()]
+	for k := range keyDemand {
+		minute, weekend := cal.Key(k)
 		demand := 0
 		for _, vm := range st.Spec.VMs {
 			switch vm.Service.Pattern {
 			case trace.PatternSpiky, trace.PatternBroadPeak, trace.PatternDiurnal:
-				if vm.Service.UtilAt(ts, nil) >= cfg.OCThreshold {
+				if vm.Service.WithNoise(vm.Service.CleanUtil(minute, weekend), nil) >= cfg.OCThreshold {
 					demand += vm.Cores
 				}
 			}
@@ -320,7 +318,10 @@ func fillDemand(out []int, st *trace.ServerTrace, cfg FleetSimConfig, start time
 		if demand > st.Spec.HW.Cores {
 			demand = st.Spec.HW.Cores
 		}
-		out[t] = demand
+		keyDemand[k] = demand
+	}
+	for t := range out {
+		out[t] = keyDemand[cal.KeyOf(t)]
 	}
 	return out
 }
@@ -477,15 +478,20 @@ func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConf
 			rackCfg.RestoreFraction = cfg.WarnFraction - 0.03
 		}
 	}
-	// One arena allocation backs every server's demand series: the shard
+	// One calendar per window serves every server's demand, and one arena
+	// allocation backs every server's evaluation demand series: the shard
 	// makes 1 slice instead of len(Servers), and the whole block frees at
 	// once when the shard ends.
+	trainTicks := cfg.TrainDays * int(24*time.Hour/cfg.Step)
+	evalCal := trace.NewCalendar(evalStart, cfg.Step, ticks)
+	trainCal := trace.NewCalendar(fleetStart, cfg.Step, trainTicks)
+	keyDemand := make([]int, max(evalCal.NumKeys(), trainCal.NumKeys()))
 	demandArena := make([]int, len(rt.Servers)*ticks)
 	servers := make([]power.Server, 0, len(rt.Servers))
 	for i, st := range rt.Servers {
 		hosts[i] = newTraceHost(st, 0)
 		servers = append(servers, hosts[i])
-		demands[i] = fillDemand(demandArena[i*ticks:(i+1)*ticks:(i+1)*ticks], st, cfg, evalStart)
+		demands[i] = fillDemand(demandArena[i*ticks:(i+1)*ticks:(i+1)*ticks], st, cfg, evalCal, keyDemand)
 	}
 	rack := power.NewRack(rackCfg, servers...)
 	rack.AttachProvenance(prov)
@@ -499,26 +505,26 @@ func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConf
 	if reg != nil {
 		goa.Instrument(reg, tracer, shardLabels...)
 	}
-	trainEnd := evalStart
+	// Each server's power template is fitted once and shared, immutable,
+	// by its gOA profile and its sOA.
+	powerTpls := make([]*timeseries.WeekTemplate, len(rt.Servers))
 	// Training demand is consumed immediately per server, so one scratch
 	// buffer serves every server in turn.
-	trainScratch := make([]int, cfg.TrainDays*int(24*time.Hour/cfg.Step))
+	trainScratch := make([]int, trainTicks)
 	for i, st := range rt.Servers {
-		train := st.Power.Slice(fleetStart, trainEnd)
-		powerTpl := templateFromPredictor(predictorFor(cfg.TemplateStrategy), train)
+		train := st.Power.Slice(fleetStart, evalStart)
+		powerTpls[i] = templateFromPredictor(predictorFor(cfg.TemplateStrategy), train)
 		// Overclock template from the training week's demand (granted = 0
 		// during training: the baseline trace has no overclocking).
 		rec := predict.NewOCRecorder(fleetStart, cfg.Step)
-		trainDemand := fillDemand(trainScratch, st, cfg, fleetStart)
-		for _, d := range trainDemand {
+		for _, d := range fillDemand(trainScratch, st, cfg, trainCal, keyDemand) {
 			rec.Record(d, 0)
 		}
 		goa.SetProfile(st.Spec.Name, core.ServerProfile{
-			Power:      powerTpl,
+			Power:      powerTpls[i],
 			OC:         rec.Template(),
 			OCCoreCost: st.Spec.HW.OCCoreCost(),
 		})
-		_ = i
 	}
 	budgetTpls := goa.BudgetTemplates(cfg.Step)
 
@@ -589,8 +595,7 @@ func rackRunObserved(rt *trace.RackTrace, sys baselines.System, cfg FleetSimConf
 		default:
 			soas[i].SetAssignedBudget(budgetTpls[st.Spec.Name])
 		}
-		train := st.Power.Slice(fleetStart, trainEnd)
-		soas[i].SetPowerTemplate(templateFromPredictor(predictorFor(cfg.TemplateStrategy), train))
+		soas[i].SetPowerTemplate(powerTpls[i])
 		instrumentSOA(soas[i])
 	}
 

@@ -149,11 +149,16 @@ func (t *DayTemplate) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dayTemplateJSON{Step: t.Step, Slots: t.Slots, Kind: t.Kind, Counts: t.counts})
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. It rejects a non-positive
+// step: At divides by the step, so such a template would restore cleanly
+// and then panic on its first lookup.
 func (t *DayTemplate) UnmarshalJSON(data []byte) error {
 	var w dayTemplateJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
+	}
+	if w.Step <= 0 {
+		return fmt.Errorf("timeseries: day template step %v, must be positive", w.Step)
 	}
 	t.Step = w.Step
 	t.Slots = w.Slots

@@ -68,7 +68,8 @@ type ServiceProfile struct {
 	// PeakUtil is the on-peak utilization.
 	PeakUtil float64
 	// PeakStartHour/PeakEndHour bound the broad peak (PatternBroadPeak)
-	// or the nightly peak (PatternNightly, wrapping midnight).
+	// and are ignored by every other pattern: PatternNightly always peaks
+	// from 22:00 to 07:00.
 	PeakStartHour, PeakEndHour int
 	// SpikeMinutes is the spike length for PatternSpiky (around minute 0
 	// and minute 30 of each hour).
@@ -83,9 +84,28 @@ type ServiceProfile struct {
 }
 
 // UtilAt returns the service's utilization at ts with deterministic noise
-// from rng, clamped to [0.01, 1].
+// from rng, clamped to [0.01, 1]: the noise-free value for ts's minute of
+// day and weekday kind (in ts's own location), then the noise step.
 func (p ServiceProfile) UtilAt(ts time.Time, rng *rand.Rand) float64 {
-	hour := float64(ts.Hour()) + float64(ts.Minute())/60 - p.PhaseShiftHours
+	minute, weekend := clockKey(ts)
+	return p.WithNoise(p.CleanUtil(minute, weekend), rng)
+}
+
+// clockKey returns the part of ts a service's noise-free utilization
+// depends on: the minute of the day and whether the day is a Saturday or
+// Sunday, both in ts's own location.
+func clockKey(ts time.Time) (minuteOfDay int, weekend bool) {
+	h, m, _ := ts.Clock()
+	wd := ts.Weekday()
+	return h*60 + m, wd == time.Saturday || wd == time.Sunday
+}
+
+// CleanUtil returns the service's noise-free, unclamped utilization at
+// minuteOfDay (0..1439) of a weekday or weekend day. It is a pure function
+// of its arguments, so generators evaluate it once per distinct key and
+// reuse the value across every tick that shares the key.
+func (p ServiceProfile) CleanUtil(minuteOfDay int, weekend bool) float64 {
+	hour := float64(minuteOfDay/60) + float64(minuteOfDay%60)/60 - p.PhaseShiftHours
 	for hour < 0 {
 		hour += 24
 	}
@@ -105,7 +125,7 @@ func (p ServiceProfile) UtilAt(ts time.Time, rng *rand.Rand) float64 {
 		}
 	case PatternSpiky:
 		u = p.BaseUtil
-		min := ts.Minute()
+		min := minuteOfDay % 60
 		spike := p.SpikeMinutes
 		if spike <= 0 {
 			spike = 5
@@ -123,11 +143,17 @@ func (p ServiceProfile) UtilAt(ts time.Time, rng *rand.Rand) float64 {
 	default:
 		u = p.BaseUtil
 	}
-	if ts.Weekday() == time.Saturday || ts.Weekday() == time.Sunday {
-		if p.WeekendFactor > 0 {
-			u *= p.WeekendFactor
-		}
+	if weekend && p.WeekendFactor > 0 {
+		u *= p.WeekendFactor
 	}
+	return u
+}
+
+// WithNoise is UtilAt's last step: it applies multiplicative Gaussian noise
+// from rng to a CleanUtil value (none when rng is nil or NoiseSD is 0,
+// consuming no randomness) and clamps the result to [0.01, 1].
+func (p ServiceProfile) WithNoise(clean float64, rng *rand.Rand) float64 {
+	u := clean
 	if p.NoiseSD > 0 && rng != nil {
 		u *= 1 + rng.NormFloat64()*p.NoiseSD
 	}

@@ -44,6 +44,12 @@ func (s ServerSpec) UtilAt(ts time.Time, rng *rand.Rand) float64 {
 	for _, vm := range s.VMs {
 		busy += float64(vm.Cores) * vm.Service.UtilAt(ts, rng)
 	}
+	return s.meanUtil(busy)
+}
+
+// meanUtil converts busy VM cores into the server's mean core utilization,
+// capped at 1.
+func (s ServerSpec) meanUtil(busy float64) float64 {
 	u := busy / float64(s.HW.Cores)
 	if u > 1 {
 		u = 1
@@ -220,16 +226,34 @@ func GenRack(cfg RackGenConfig, rng *rand.Rand) (*RackTrace, error) {
 		}
 	}
 
+	// Every VM's noise-free utilization depends on the tick only through
+	// its calendar key, so it is evaluated once per key into clean (reused
+	// across servers); the tick loop then draws the noise in the same VM and
+	// tick order as ServerSpec.UtilAt, leaving the rng stream unchanged.
+	cal := NewCalendar(cfg.Start, cfg.Step, steps)
+	nk := cal.NumKeys()
+	clean := make([]float64, cfg.VMsPerServerMax*nk)
 	for i := 0; i < cfg.Servers; i++ {
 		spec := GenServerSpec(cfg, fmt.Sprintf("%s-s%02d", cfg.Name, i), rng)
+		for v, vm := range spec.VMs {
+			tab := clean[v*nk : (v+1)*nk]
+			for k := range tab {
+				tab[k] = vm.Service.CleanUtil(cal.Key(k))
+			}
+		}
 		// The tick count is known up front: sizing both series here keeps
 		// the per-tick loop below allocation-free (guarded by AllocsPerRun).
 		util := timeseries.NewWithCap(cfg.Start, cfg.Step, steps)
 		power := timeseries.NewWithCap(cfg.Start, cfg.Step, steps)
 		for j := 0; j < steps; j++ {
-			ts := cfg.Start.Add(time.Duration(j) * cfg.Step)
-			u := spec.UtilAt(ts, rng)
-			if outlierDay >= 0 && int(ts.Sub(cfg.Start)/(24*time.Hour)) == outlierDay {
+			k := cal.KeyOf(j)
+			busy := 0.0
+			for v := range spec.VMs {
+				vm := &spec.VMs[v]
+				busy += float64(vm.Cores) * vm.Service.WithNoise(clean[v*nk+k], rng)
+			}
+			u := spec.meanUtil(busy)
+			if outlierDay >= 0 && int(time.Duration(j)*cfg.Step/(24*time.Hour)) == outlierDay {
 				u *= 1 + cfg.OutlierBoost
 				if u > 1 {
 					u = 1
